@@ -40,7 +40,7 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		maxBatch   = flag.Int("max-batch", 16, "coalescing batch size (1 disables coalescing)")
-		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "coalescing flush age")
+		maxWait    = flag.Duration("max-wait", 2*time.Millisecond, "longest a request waits behind a busy design's in-flight flush")
 		maxConc    = flag.Int("max-concurrent", 0, "admission slots (0 = 2x GOMAXPROCS)")
 		maxQueue   = flag.Int("max-queue", 0, "admission wait-queue bound (0 = 4x slots)")
 		maxDesigns = flag.Int("max-designs", 64, "registry capacity")

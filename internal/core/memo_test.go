@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"fastcppr/gen"
@@ -162,9 +163,12 @@ func TestTopPathsMemoSeqBump(t *testing.T) {
 	mustMemo(t, e, opts, cache, 3, alwaysValid)
 	// Reuse at seq 9 bumps stored seqs from 3 to 9...
 	mustMemo(t, e, opts, cache, 9, alwaysValid)
-	// ...which this validator observes.
+	// ...which this validator observes. Jobs validate concurrently.
+	var mu sync.Mutex
 	seen := make(map[uint64]bool)
 	mustMemo(t, e, opts, cache, 9, func(seq uint64, _ *model.PinSet) bool {
+		mu.Lock()
+		defer mu.Unlock()
 		seen[seq] = true
 		return true
 	})

@@ -17,10 +17,11 @@ import (
 // near-cold recompute into work proportional to the edit's real reach.
 
 // RetainMaxBytes bounds the propagation state one JobCache retains for
-// patching, across all jobs: each retained job costs NumPins slot-sized
-// (64 B) entries. Beyond the budget, stores skip retention — the job
-// cache still works, dirtied jobs just fall back to full re-runs. A
-// variable so tests can exercise the refusal path.
+// patching, across all jobs: each retained job is charged its compact
+// clone's real size, 4·NumPins + 48·live bytes (sta.Prop.CloneBytes).
+// Beyond the budget, stores skip retention — the job cache still works,
+// dirtied jobs just fall back to full re-runs. A variable so tests can
+// exercise the refusal path.
 var RetainMaxBytes = int64(256 << 20)
 
 // retainedProp is one job's retained propagation: the completed sparse
@@ -51,13 +52,14 @@ func (c *JobCache) retained(key jobKey) *retainedProp {
 	return (*m)[key]
 }
 
-// setRetained publishes rp for key copy-on-write, charging pinCount
-// 64-byte slots against the retention budget for new keys (replacements
-// are pre-paid). Existing entries are replaced only when the newcomer's
-// journal position is at least as new — replacement is pure policy (any
-// retained state is sound, it carries its own journal), but moving
-// backward would thrash the common newest-snapshot readers.
-func (c *JobCache) setRetained(key jobKey, rp *retainedProp, pinCount int) {
+// setRetained publishes rp for key copy-on-write, charging its clone's
+// bytes against the retention budget (a replacement pays only the
+// difference from the clone it drops). Existing entries are replaced
+// only when the newcomer's journal position is at least as new —
+// replacement is pure policy (any retained state is sound, it carries
+// its own journal), but moving backward would thrash the common
+// newest-snapshot readers.
+func (c *JobCache) setRetained(key jobKey, rp *retainedProp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var cur map[jobKey]*retainedProp
@@ -71,8 +73,9 @@ func (c *JobCache) setRetained(key jobKey, rp *retainedProp, pinCount int) {
 		if stale {
 			return
 		}
+		c.retBytes.Add(rp.prop.CloneBytes() - old.prop.CloneBytes())
 	} else {
-		cost := int64(pinCount) * 64
+		cost := rp.prop.CloneBytes()
 		if c.retBytes.Load()+cost > RetainMaxBytes {
 			return
 		}
@@ -100,7 +103,7 @@ func (e *Engine) retainProp(s *scratch, cache *JobCache, key jobKey, mc MemoCtx)
 		journal: mc.Journal,
 		seq:     mc.Seq,
 		owner:   cache,
-	}, e.d.NumPins())
+	})
 }
 
 // Fork returns an isolated copy of the cache for a snapshot forked at

@@ -33,14 +33,18 @@ type reply struct {
 	exec time.Duration
 }
 
-// batcher funnels concurrent single queries into Timer.ReportBatch: a
-// collector goroutine gathers requests until the batch is full
-// (maxBatch) or the oldest request has waited maxWait, then dispatches
-// the batch on its own goroutine so collection continues during
-// execution. Coalescing happens inside ReportBatch itself — identical
-// and K-mergeable queries in one flush share an execution unit — so the
-// batcher's job is purely to get concurrent requests into the same
-// call.
+// batcher funnels concurrent single queries into Timer.ReportBatch
+// without ever idling a request behind a timer. It is work-conserving:
+// a request that finds no flush of its design in flight dispatches at
+// once, together with whatever is already buffered. Requests that
+// arrive while a flush runs coalesce into the next batch, which
+// dispatches when an in-flight flush completes, when it holds maxBatch
+// requests, or when its oldest request has waited maxWait behind the
+// busy design, whichever comes first. Flushes run on their own
+// goroutines so collection continues during execution. Coalescing
+// happens inside ReportBatch itself — identical and K-mergeable queries
+// in one flush share an execution unit — so the batcher's job is purely
+// to get concurrent requests into the same call.
 //
 // Lifecycle invariant: every submitter holds a registry Handle for the
 // duration of submit, and stop() runs only after the last Handle
@@ -50,8 +54,10 @@ type batcher struct {
 	maxBatch int
 	maxWait  time.Duration
 	in       chan *request
-	stopped  chan struct{}
-	done     chan struct{} // collector exited; in-flight flushes tracked separately
+	// flushed carries one token per completed flush to the collector.
+	flushed chan struct{}
+	stopped chan struct{}
+	done    chan struct{} // collector exited; in-flight flushes tracked separately
 }
 
 func newBatcher(timer *cppr.Timer, maxBatch int, maxWait time.Duration) *batcher {
@@ -63,6 +69,7 @@ func newBatcher(timer *cppr.Timer, maxBatch int, maxWait time.Duration) *batcher
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		in:       make(chan *request, 4*maxBatch),
+		flushed:  make(chan struct{}),
 		stopped:  make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -71,8 +78,8 @@ func newBatcher(timer *cppr.Timer, maxBatch int, maxWait time.Duration) *batcher
 }
 
 // stop terminates the collector and waits for it to exit. Per the
-// lifecycle invariant there are no queued or in-flight requests by the
-// time stop is called.
+// lifecycle invariant there are no queued requests by the time stop is
+// called; a flush still serving abandoned requests finishes on its own.
 func (b *batcher) stop() {
 	close(b.stopped)
 	<-b.done
@@ -100,55 +107,96 @@ func (b *batcher) submit(ctx context.Context, q cppr.Query) (reply, error) {
 	}
 }
 
-// collect is the batcher's collector loop: one batch per iteration.
+// collect is the batcher's collector loop. It owns the pending batch
+// and the count of flushes in flight.
 func (b *batcher) collect() {
 	defer close(b.done)
+	var (
+		pending  []*request
+		inflight int
+		wait     *time.Timer
+		waitC    <-chan time.Time // armed while pending waits behind a flush
+	)
+	dispatch := func() {
+		// Top up from the buffer first: requests already enqueued would
+		// otherwise miss this flush for want of a collector iteration.
+	drain:
+		for len(pending) < b.maxBatch {
+			select {
+			case r := <-b.in:
+				pending = append(pending, r)
+			default:
+				break drain
+			}
+		}
+		if wait != nil {
+			wait.Stop()
+			wait, waitC = nil, nil
+		}
+		inflight++
+		go b.flush(pending)
+		pending = nil
+	}
 	for {
-		var first *request
 		select {
-		case first = <-b.in:
+		case r := <-b.in:
+			pending = append(pending, r)
+			switch {
+			case inflight == 0 || len(pending) >= b.maxBatch:
+				dispatch()
+			case wait == nil:
+				wait = time.NewTimer(b.maxWait - time.Since(r.enq))
+				waitC = wait.C
+			}
+		case <-b.flushed:
+			inflight--
+			if len(pending) > 0 {
+				dispatch()
+			}
+		case <-waitC:
+			wait, waitC = nil, nil
+			dispatch()
 		case <-b.stopped:
+			if wait != nil {
+				wait.Stop()
+			}
 			return
 		}
-		batch := []*request{first}
-		if b.maxBatch > 1 {
-			deadline := time.NewTimer(b.maxWait)
-		fill:
-			for len(batch) < b.maxBatch {
-				select {
-				case r := <-b.in:
-					batch = append(batch, r)
-				case <-deadline.C:
-					break fill
-				case <-b.stopped:
-					break fill
-				}
-			}
-			deadline.Stop()
-		}
-		// Dispatch on a fresh goroutine so the collector keeps
-		// coalescing the next batch while this one executes.
-		go b.flush(batch)
 	}
 }
 
-// flush runs one batch through ReportBatch and delivers every reply.
-// A panic in the dispatch path (fault injection, engine invariant) is
-// contained here: every request in the batch gets an *InternalError
-// reply instead of the server losing its collector.
+// flush runs one batch through ReportBatch, hands the collector its
+// completion token (dropped once the collector has exited), then
+// delivers every reply. The token goes first so the next batch is
+// already dispatching while this one's replies are written.
 func (b *batcher) flush(batch []*request) {
 	start := time.Now()
+	results, err := b.run(batch)
+	exec := time.Since(start)
+	select {
+	case b.flushed <- struct{}{}:
+	case <-b.done:
+	}
+	for i, req := range batch {
+		var res cppr.BatchResult
+		if results != nil {
+			res = results[i]
+		}
+		if res.Err == nil && err != nil {
+			res.Err = err
+		}
+		req.reply <- reply{res: res, batchSize: len(batch), wait: start.Sub(req.enq), exec: exec}
+	}
+}
+
+// run executes the batch's queries in one ReportBatch call. A panic in
+// the dispatch path (fault injection, engine invariant) is contained
+// here and returned as an *InternalError for every request, instead of
+// the server losing its collector.
+func (b *batcher) run(batch []*request) (results []cppr.BatchResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err := qerr.FromPanic("serve.batcher.flush", r)
-			for _, req := range batch {
-				req.reply <- reply{
-					res:       cppr.BatchResult{Err: err},
-					batchSize: len(batch),
-					wait:      start.Sub(req.enq),
-					exec:      time.Since(start),
-				}
-			}
+			results, err = nil, qerr.FromPanic("serve.batcher.flush", r)
 		}
 	}()
 	faultinject.Fire("serve.batcher.flush")
@@ -159,13 +207,5 @@ func (b *batcher) flush(batch []*request) {
 	// The batch context is deliberately background: each request's
 	// deadline rides in as Query.Timeout, bounding its own execution
 	// unit inside ReportBatch without cutting short its batchmates.
-	results, err := b.timer.ReportBatch(context.Background(), queries)
-	exec := time.Since(start)
-	for i, req := range batch {
-		res := results[i]
-		if res.Err == nil && err != nil {
-			res.Err = err
-		}
-		req.reply <- reply{res: res, batchSize: len(batch), wait: start.Sub(req.enq), exec: exec}
-	}
+	return b.timer.ReportBatch(context.Background(), queries)
 }

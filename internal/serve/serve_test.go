@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -453,6 +454,67 @@ func TestCoalescingHappens(t *testing.T) {
 	}
 	if st := s.stats().PerDesign["d"]; st.ServedCoalesced == 0 {
 		t.Fatalf("ServedCoalesced = 0 after coalesced burst: %+v", st)
+	}
+}
+
+// TestBatcherIdleDispatch: a lone query against an idle design must
+// dispatch at once, not wait out MaxWait for batchmates that never come.
+func TestBatcherIdleDispatch(t *testing.T) {
+	const maxWait = 500 * time.Millisecond
+	s, hs := newTestServer(t, Config{MaxWait: maxWait})
+	loadMedium(t, s, "d", 12)
+	for i := 0; i < 3; i++ {
+		qr := queryOK(t, hs.URL, QueryRequest{Design: "d", K: 5})
+		if w := time.Duration(qr.Timing.BatchWaitUs) * time.Microsecond; w > maxWait/5 {
+			t.Fatalf("query %d: batch wait %v on an idle design, want well under MaxWait %v", i, w, maxWait)
+		}
+	}
+}
+
+// TestBatcherMaxWaitCapsHeadOfLine: a request that arrives while a slow
+// flush holds the design waits at most about MaxWait before its own
+// flush dispatches, not until the slow flush completes.
+func TestBatcherMaxWaitCapsHeadOfLine(t *testing.T) {
+	const (
+		stall   = 300 * time.Millisecond
+		maxWait = 20 * time.Millisecond
+	)
+	disarm := faultinject.Arm("serve.batcher.flush", faultinject.Fault{Delay: stall})
+	defer disarm()
+	s, hs := newTestServer(t, Config{MaxWait: maxWait})
+	loadMedium(t, s, "d", 13)
+
+	type result struct {
+		qr  QueryResponse
+		err error
+	}
+	first := make(chan result, 1)
+	go func() {
+		var r result
+		resp, err := http.Post(hs.URL+"/v1/query", "application/json", strings.NewReader(`{"design":"d","k":1}`))
+		if err == nil {
+			r.err = json.NewDecoder(resp.Body).Decode(&r.qr)
+			resp.Body.Close()
+		} else {
+			r.err = err
+		}
+		first <- r
+	}()
+	time.Sleep(stall / 3) // the first request is now inside its stalled flush
+	qr := queryOK(t, hs.URL, QueryRequest{Design: "d", K: 5})
+	w := time.Duration(qr.Timing.BatchWaitUs) * time.Microsecond
+	if w < maxWait || w > stall/2 {
+		t.Fatalf("second request waited %v behind a %v flush, want about MaxWait %v", w, stall, maxWait)
+	}
+	if qr.Timing.BatchSize != 1 {
+		t.Fatalf("second request batch size %d, want 1", qr.Timing.BatchSize)
+	}
+	r := <-first
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if w0 := time.Duration(r.qr.Timing.BatchWaitUs) * time.Microsecond; w0 >= maxWait {
+		t.Fatalf("first request waited %v on an idle design", w0)
 	}
 }
 

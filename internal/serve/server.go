@@ -22,12 +22,16 @@ import (
 // Config parameterises a Server. The zero value gets sane defaults from
 // withDefaults.
 type Config struct {
-	// MaxBatch is the coalescing batcher's flush size: a design's batch
-	// dispatches as soon as this many requests are waiting. Default 16;
-	// 1 disables coalescing (every request is its own batch).
+	// MaxBatch is the coalescing batcher's flush size: a batch waiting
+	// behind a busy design dispatches as soon as it holds this many
+	// requests. Default 16; 1 disables coalescing (every request is its
+	// own batch).
 	MaxBatch int
-	// MaxWait is the batcher's flush age: a batch dispatches once its
-	// oldest request has waited this long, full or not. Default 2ms.
+	// MaxWait is the longest a request waits behind a busy design's
+	// in-flight flush: a request that finds the design idle dispatches
+	// at once, and one that arrives during a flush joins the next batch,
+	// which dispatches when a flush completes, when full, or once its
+	// oldest request has waited MaxWait. Default 2ms.
 	MaxWait time.Duration
 	// MaxConcurrent bounds requests in service simultaneously (the
 	// admission semaphore). Default 2×GOMAXPROCS.
@@ -203,9 +207,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 // LoadRequest loads a design into the registry: either a named preset

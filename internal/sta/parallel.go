@@ -138,6 +138,7 @@ func (p *Prop) RunSparseParallel(d *model.Design, setup bool, done <-chan struct
 		}
 		ps.live = live
 		f.count -= len(live)
+		p.live += len(live)
 		f.cur = int(end-1) >> 6
 
 		if len(live) < sparseParGrain {

@@ -9,7 +9,7 @@ import (
 // This file implements retained-propagation patching: given a completed
 // sparse propagation and a small set of arc-delay edits, PatchSparse
 // rewrites only the pins whose tuples can have changed — the forward
-// cone of the edited arcs' sinks, truncated wherever a recomputed slot
+// cone of the edited arcs' sinks, truncated wherever a recomputed pair
 // converges with its old value — instead of re-running the whole job.
 //
 // Soundness rests on the canonical offer order of a fresh run. RunSparse
@@ -32,51 +32,79 @@ import (
 // guarantees that by refusing to patch across clock-path, CK->Q, or
 // constraint changes, which rebuild the snapshot instead.
 
-// PropUndo records the slots PatchSparse overwrote so a borrowed
+// tuplePair is one live pin's retained (at, at') pair: the propSlot
+// without its epoch stamp and cache-line padding.
+type tuplePair struct{ a, b Tuple }
+
+// pairBytes is the size of a tuplePair; CloneBytes charges it per live
+// pin.
+const pairBytes = 48
+
+// PropUndo records the pairs PatchSparse overwrote so a borrowed
 // retained propagation can be restored after a speculative (forked)
 // query. Each dirty pin is saved exactly once per patch.
 type PropUndo struct {
 	pins  []model.PinID
-	slots []propSlot
+	pairs []tuplePair
 }
 
-// Len returns the number of saved slots (dirty pins of the last patch).
+// Len returns the number of saved pairs (dirty pins of the last patch).
 func (u *PropUndo) Len() int { return len(u.pins) }
 
 // Reset empties the log, retaining capacity.
 func (u *PropUndo) Reset() {
 	u.pins = u.pins[:0]
-	u.slots = u.slots[:0]
+	u.pairs = u.pairs[:0]
 }
 
-func (u *PropUndo) save(v model.PinID, s propSlot) {
+func (u *PropUndo) save(v model.PinID, t tuplePair) {
 	u.pins = append(u.pins, v)
-	u.slots = append(u.slots, s)
+	u.pairs = append(u.pairs, t)
 }
 
-// CloneSparse returns an independent copy of a completed sparse
+// CloneSparse returns an independent compact copy of a completed sparse
 // propagation, sharing only the design's immutable topological tables.
-// The clone is detached from the scratch pool: it is meant to be
-// retained across queries and patched in place.
+// The copy keeps live pins' (at, at') pairs only — pairBytes each, no
+// stamp or padding — behind a 4-byte pin→pair index (-1 for a pin that
+// is not live), so it costs 4·NumPins + 48·live bytes instead of the
+// slot array's 64·NumPins. It is built in one pass over the slots, its
+// pair array sized from the live count the drain kept. The clone is
+// detached from the scratch pool: it is meant to be retained across
+// queries and patched in place; only At, Auto, PatchSparse and Unpatch
+// address it.
 func (p *Prop) CloneSparse() *Prop {
 	if !p.sparse {
 		return nil
 	}
-	q := &Prop{
-		epoch:     p.epoch,
-		topo:      p.topo,
-		topoIndex: p.topoIndex,
-		sparse:    true,
+	slots, epoch := p.slots, p.epoch
+	pair := make([]int32, len(slots))
+	pairs := make([]tuplePair, 0, p.live)
+	for v := range slots {
+		s := &slots[v]
+		if s.stamp != epoch {
+			pair[v] = -1
+			continue
+		}
+		pair[v] = int32(len(pairs))
+		pairs = append(pairs, tuplePair{s.a, s.b})
 	}
-	q.slots = append([]propSlot(nil), p.slots...)
-	return q
+	return &Prop{topo: p.topo, topoIndex: p.topoIndex, compact: true, pair: pair, pairs: pairs}
 }
 
-// Unpatch restores every slot saved in u, returning the propagation to
+// CloneBytes returns the bytes a CloneSparse copy holds in its index
+// and pair arrays: 4·NumPins + 48·live. Zero for any other Prop.
+func (p *Prop) CloneBytes() int64 {
+	if !p.compact {
+		return 0
+	}
+	return 4*int64(cap(p.pair)) + pairBytes*int64(cap(p.pairs))
+}
+
+// Unpatch restores every pair saved in u, returning the propagation to
 // its pre-patch state, and resets the log.
 func (p *Prop) Unpatch(u *PropUndo) {
 	for i, v := range u.pins {
-		p.slots[v] = u.slots[i]
+		p.pairs[p.pair[v]] = u.pairs[i]
 	}
 	u.Reset()
 }
@@ -89,24 +117,24 @@ func (p *Prop) Unpatch(u *PropUndo) {
 // it); it must describe the same seed values the retained run used —
 // the caller enforces that by never patching across edits that move
 // clock arrivals or constraints. When undo is non-nil, every overwritten
-// slot is recorded for Unpatch.
+// pair is recorded for Unpatch. p must be a CloneSparse copy.
 //
 // Cost is O(dirty cone): the worklist starts at the edited arcs' sinks
 // and expands through fanout only past pins whose recomputed pair
 // actually changed.
 func (p *Prop) PatchSparse(d *model.Design, setup bool, arcs []int32, seed func(model.PinID) (Tuple, bool), undo *PropUndo) {
-	if !p.sparse {
-		panic("sta: PatchSparse on a dense propagation")
+	if !p.compact {
+		panic("sta: PatchSparse on a Prop not built by CloneSparse")
 	}
-	// The frontier is drained (the retained run completed); reuse it as
-	// the patch worklist. The monotone contract holds: every push during
-	// the drain is a fanout sink, whose topological index exceeds the pin
-	// being processed.
+	// The clone's frontier is empty between patches; use it as the
+	// worklist. The monotone contract holds: every push during the drain
+	// is a fanout sink, whose topological index exceeds the pin being
+	// processed.
 	fr := &p.fr
 	fr.reset()
 	for _, ai := range arcs {
 		v := d.Arcs[ai].To
-		if p.slots[v].stamp != p.epoch {
+		if p.pair[v] < 0 {
 			continue // sink not live: delay edits cannot revive it
 		}
 		if ti := p.topoIndex[v]; !fr.contains(ti) {
@@ -115,7 +143,7 @@ func (p *Prop) PatchSparse(d *model.Design, setup bool, arcs []int32, seed func(
 	}
 	for !fr.empty() {
 		v := p.topo[fr.pop()]
-		s := &p.slots[v]
+		s := &p.pairs[p.pair[v]]
 		old := *s
 		na, nb := p.refold(d, v, setup, seed)
 		if na == old.a && nb == old.b {
@@ -127,7 +155,7 @@ func (p *Prop) PatchSparse(d *model.Design, setup bool, arcs []int32, seed func(
 		s.a, s.b = na, nb
 		for _, oi := range d.FanOut(v) {
 			w := d.Arcs[oi].To
-			if p.slots[w].stamp != p.epoch {
+			if p.pair[w] < 0 {
 				continue
 			}
 			if wi := p.topoIndex[w]; !fr.contains(wi) {
@@ -138,7 +166,7 @@ func (p *Prop) PatchSparse(d *model.Design, setup bool, arcs []int32, seed func(
 }
 
 // refold recomputes live pin v's final (at, at') pair from its seed and
-// its live in-sources' current slots, replaying the canonical offer
+// its live in-sources' current pairs, replaying the canonical offer
 // order of a fresh run.
 func (p *Prop) refold(d *model.Design, v model.PinID, setup bool, seed func(model.PinID) (Tuple, bool)) (Tuple, Tuple) {
 	var a, b Tuple
@@ -180,10 +208,11 @@ func (p *Prop) refold(d *model.Design, v model.PinID, setup bool, seed func(mode
 	}
 	for _, ai := range in {
 		arc := &d.Arcs[ai]
-		su := &p.slots[arc.From]
-		if su.stamp != p.epoch {
+		i := p.pair[arc.From]
+		if i < 0 {
 			continue
 		}
+		su := &p.pairs[i]
 		var delay model.Time
 		if setup {
 			delay = arc.Delay.Late

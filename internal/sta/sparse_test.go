@@ -46,6 +46,13 @@ func applySeeds(p *Prop, ops []seedOp, setup bool) {
 // propState reads one pin's full post-run state — liveness and the raw
 // at/at' tuples — from whichever representation the Prop has armed.
 func propState(p *Prop, u model.PinID) (live bool, a, b Tuple) {
+	if p.compact {
+		i := p.pair[u]
+		if i < 0 {
+			return false, Tuple{}, Tuple{}
+		}
+		return true, p.pairs[i].a, p.pairs[i].b
+	}
 	if p.sparse {
 		s := &p.slots[u]
 		if s.stamp != p.epoch {

@@ -6,6 +6,7 @@
 package sta
 
 import (
+	"slices"
 	"sync"
 
 	"fastcppr/model"
@@ -22,13 +23,7 @@ type GBA struct {
 
 // Clone returns a deep copy of the arrival windows, detached from g.
 func (g *GBA) Clone() *GBA {
-	ng := &GBA{
-		AT:    make([]model.Window, len(g.AT)),
-		Valid: make([]bool, len(g.Valid)),
-	}
-	copy(ng.AT, g.AT)
-	copy(ng.Valid, g.Valid)
-	return ng
+	return &GBA{AT: slices.Clone(g.AT), Valid: slices.Clone(g.Valid)}
 }
 
 // Propagate computes graph-based arrival windows for every pin of d,
@@ -213,7 +208,8 @@ type propSlot struct {
 //     run costs O(active cone), not Θ(#pins + #arcs).
 //
 // Only the armed representation's storage is grown; the other is left
-// untouched.
+// untouched. A third, read-mostly representation is the compact
+// retained form CloneSparse builds (patch.go): live pins' pairs only.
 type Prop struct {
 	// Dense (reference) representation.
 	a, b  []Tuple
@@ -228,8 +224,19 @@ type Prop struct {
 	topo      []model.PinID
 	topoIndex []int32
 	fr        frontier
+	// live counts the pins the sparse drain popped this epoch: every
+	// live pin is popped exactly once, so after a completed drain it is
+	// the live-pin count CloneSparse sizes its pair array from.
+	live int
 	// sparse selects which representation Offer/At/Auto address.
 	sparse bool
+
+	// Compact representation, built by CloneSparse: pair[v] indexes pin
+	// v's (at, at') pair in pairs, or is -1 when v is not live. Selected
+	// by compact; only At/Auto/PatchSparse/Unpatch address it.
+	pair    []int32
+	pairs   []tuplePair
+	compact bool
 
 	// par is RunSparseParallel's reusable hand-off scratch (see
 	// parallel.go); lazily allocated, retained across runs.
@@ -303,6 +310,7 @@ func (p *Prop) ResetFor(d *model.Design) {
 	p.epoch++
 	p.fr.reset()
 	p.topo, p.topoIndex = d.Topo, d.TopoIndex
+	p.live = 0
 	p.sparse = true
 	if cap(p.slots) < n {
 		p.slots = make([]propSlot, n)
@@ -316,6 +324,7 @@ func (p *Prop) ResetFor(d *model.Design) {
 // early cancel sees unset tuples until the next Reset.
 func (p *Prop) Invalidate() {
 	p.epoch++
+	p.live = 0
 	p.fr.reset()
 }
 
@@ -480,6 +489,7 @@ func (p *Prop) RunSparse(d *model.Design, setup bool, done <-chan struct{}) {
 		// always differ) and offerSlots the rest.
 		p.relaxSparse(d, u, s.a, s.b, setup)
 	}
+	p.live += steps
 }
 
 // relax offers u's tuples along its fanout arcs: the shared inner step of
@@ -514,6 +524,17 @@ func (p *Prop) Auto(u model.PinID, gid int32) Tuple {
 		}
 		return s.b
 	}
+	if p.compact {
+		i := p.pair[u]
+		if i < 0 {
+			return Tuple{}
+		}
+		s := &p.pairs[i]
+		if a := s.a; !a.Valid || a.Group != gid {
+			return a
+		}
+		return s.b
+	}
 	if p.stamp[u] != p.epoch {
 		return Tuple{}
 	}
@@ -534,6 +555,12 @@ func (p *Prop) At(u model.PinID) Tuple {
 			return Tuple{}
 		}
 		return s.a
+	}
+	if p.compact {
+		if i := p.pair[u]; i >= 0 {
+			return p.pairs[i].a
+		}
+		return Tuple{}
 	}
 	if p.stamp[u] != p.epoch {
 		return Tuple{}
